@@ -3,6 +3,9 @@ package core
 import (
 	"bytes"
 	"testing"
+
+	"github.com/payloadpark/payloadpark/internal/packet"
+	"github.com/payloadpark/payloadpark/internal/rmt"
 )
 
 // TestMultiSwitchStriping exercises the §7 scalability idea: "We can
@@ -144,5 +147,61 @@ func TestMultiSwitchSmallMiddle(t *testing.T) {
 	want.Eth.Src, want.Eth.Dst = nfMAC, sinkMAC
 	if !bytes.Equal(frameOut, want.Serialize()) {
 		t.Error("degraded striping round trip not byte-identical")
+	}
+}
+
+// TestMergeHeadroomSurvivesTransitHop pins the in-place merge across a
+// fabric: the hole a split leaves in the payload backing must survive a
+// hop through a switch that neither splits nor merges, so the merge back
+// on the splitting switch reassembles without allocating.
+func TestMergeHeadroomSurvivesTransitHop(t *testing.T) {
+	// gen -> A(split, port 0) -> B(L2 only) -> NF -> B -> A(merge, port 1) -> sink.
+	swA := NewSwitch("A")
+	swA.AddL2Route(nfMAC, 1)
+	swA.AddL2Route(sinkMAC, 2)
+	if _, err := swA.AttachPayloadPark(Config{Slots: 64, MaxExpiry: 1, SplitPort: 0, MergePort: 1}, -1); err != nil {
+		t.Fatal(err)
+	}
+	swB := NewSwitch("B")
+	swB.AddL2Route(nfMAC, 1)
+	swB.AddL2Route(sinkMAC, 0)
+
+	b := packet.NewBuilder(genMAC, nfMAC)
+	pkt := &packet.Packet{}
+	var em Emission
+	var id uint16
+	inPlace := true
+	hop := func(sw *Switch, in rmt.PortID) {
+		if ok, why := sw.InjectReuse(pkt, in, &em); !ok {
+			t.Fatalf("%s dropped the packet on port %d: %s", sw.name, in, why)
+		}
+	}
+	roundTrip := func() {
+		id++
+		b.UDPInto(pkt, flow, 882, id)
+		start := &pkt.Payload[0]
+		hop(swA, 0)
+		if pkt.PP == nil || !pkt.PP.Enabled {
+			t.Fatal("switch A did not split")
+		}
+		hop(swB, 0)
+		pkt.Eth.Src, pkt.Eth.Dst = nfMAC, sinkMAC // the NF turns it around
+		hop(swB, 1)
+		hop(swA, 1)
+		if pkt.PP != nil || len(pkt.Payload) != 882-packet.HeaderUnitLen {
+			t.Fatal("switch A did not merge")
+		}
+		inPlace = inPlace && &pkt.Payload[0] == start
+	}
+	roundTrip() // warm PHV pools and the payload backing
+	if allocs := testing.AllocsPerRun(100, roundTrip); allocs != 0 {
+		t.Errorf("split, transit hop and merge allocate %.1f/op, want 0", allocs)
+	}
+	if !inPlace {
+		t.Error("merge did not reassemble into the split's payload backing")
+	}
+	want := b.UDP(flow, 882, id)
+	if !bytes.Equal(pkt.Payload, want.Payload) {
+		t.Error("merged payload differs from the generated one")
 	}
 }

@@ -289,7 +289,8 @@ func (s *Switch) InjectTraced(pkt *packet.Packet, in rmt.PortID) (*Emission, str
 // injectInto is the shared hot path: parse-free injection of an
 // already-parsed packet into its pipe, filling em on success and returning
 // the drop reason otherwise. headroom, when non-nil, is scratch space
-// directly in front of pkt.Payload's backing array (frame path only).
+// directly in front of pkt.Payload's backing array (frame path only);
+// otherwise the packet's own stash, if any, is used.
 func (s *Switch) injectInto(pkt *packet.Packet, in rmt.PortID, headroom []byte, em *Emission) string {
 	pipeIdx := PipeOfPort(in)
 	if pipeIdx < 0 || pipeIdx >= NumPipes {
@@ -304,7 +305,8 @@ func (s *Switch) injectInto(pkt *packet.Packet, in rmt.PortID, headroom []byte, 
 	if headroom == nil {
 		// A packet split earlier stashed the hole the parked region left
 		// in its payload backing; a merge can reassemble into it in place.
-		headroom = pkt.TakeHeadroom()
+		// The stash rides through transit hops until that merge.
+		headroom = pkt.Headroom()
 	}
 	phv.Headroom = headroom
 	pipe.Process(phv)
@@ -472,6 +474,9 @@ func (s *Switch) deparse(pipeIdx int, phv *rmt.PHV, passes int, em *Emission) st
 		park := int(phv.GetMeta(rmt.MetaParkBytes))
 		k := int(phv.GetMeta(rmt.MetaParkOffset))
 		pkt.Payload = phv.FinishMerge(pkt.Payload, k, park)
+		// The hole is refilled (or the payload moved to a fresh buffer):
+		// a later merge must not reuse it.
+		pkt.StashHeadroom(nil)
 	}
 	out, ok := s.ecmpLookup(pkt)
 	if !ok {

@@ -70,7 +70,17 @@ func (c *Chain) Len() int { return len(c.nfs) }
 // and the per-stage costs actually incurred (stages after a Drop are not
 // charged — the packet never reaches them).
 func (c *Chain) Process(pkt *packet.Packet) (Verdict, []StageCost) {
-	costs := make([]StageCost, 0, len(c.nfs))
+	return c.ProcessInto(pkt, nil)
+}
+
+// ProcessInto is Process recording the costs into costs[:0], the
+// allocation-free form for a caller that owns a buffer of at least Len()
+// capacity and keeps it until it has read the costs.
+func (c *Chain) ProcessInto(pkt *packet.Packet, costs []StageCost) (Verdict, []StageCost) {
+	costs = costs[:0]
+	if cap(costs) < len(c.nfs) {
+		costs = make([]StageCost, 0, len(c.nfs))
+	}
 	for _, f := range c.nfs {
 		v, cy := f.Process(pkt)
 		costs = append(costs, StageCost{Name: f.Name(), Cycles: cy})

@@ -62,8 +62,15 @@ func (s *Server) Chain() *Chain { return s.cfg.Chain }
 
 // Handle runs one packet through the framework.
 func (s *Server) Handle(pkt *packet.Packet) Result {
+	return s.HandleInto(pkt, nil)
+}
+
+// HandleInto is Handle recording the stage costs into costs (see
+// Chain.ProcessInto): Result.Costs aliases the buffer, which the caller
+// owns and may reuse once it no longer reads them.
+func (s *Server) HandleInto(pkt *packet.Packet, costs []StageCost) Result {
 	s.Rx.Inc()
-	verdict, costs := s.cfg.Chain.Process(pkt)
+	verdict, costs := s.cfg.Chain.ProcessInto(pkt, costs)
 	if verdict == Drop {
 		if s.cfg.ExplicitDrop && pkt.PP != nil && pkt.PP.Enabled {
 			// §6.2.4: truncate, flip opcode, send back.

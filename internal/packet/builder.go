@@ -25,9 +25,12 @@ func (b *Builder) UDP(ft FiveTuple, totalSize int, id uint16) *Packet {
 }
 
 // UDPInto is UDP writing into a caller-owned (typically recycled) Packet,
-// reusing its UDP header struct and payload capacity so steady-state
-// generation does not allocate. Every field is rewritten; no state of the
-// packet's previous life survives.
+// reusing its UDP header struct and payload backing so steady-state
+// generation does not allocate. The backing is sized for the largest
+// Ethernet payload on first use and kept for the packet's life, so a
+// recycled packet never reallocates when the next size is larger. Every
+// other field is rewritten; no state of the packet's previous life
+// survives.
 func (b *Builder) UDPInto(p *Packet, ft FiveTuple, totalSize int, id uint16) *Packet {
 	if totalSize < HeaderUnitLen {
 		totalSize = HeaderUnitLen
@@ -37,7 +40,11 @@ func (b *Builder) UDPInto(p *Packet, ft FiveTuple, totalSize int, id uint16) *Pa
 	if udp == nil {
 		udp = &UDP{}
 	}
-	payload := fillPayload(p.Payload[:0], payloadLen, b.payloadSeed^uint64(ft.SrcIP.Uint32())<<16^uint64(id))
+	buf := p.buf
+	if cap(buf) < payloadLen {
+		buf = make([]byte, max(payloadLen, maxUDPPayload))
+	}
+	payload := fillPayload(buf[:0], payloadLen, b.payloadSeed^uint64(ft.SrcIP.Uint32())<<16^uint64(id))
 	*p = Packet{
 		Eth: Ethernet{Dst: b.dstMAC, Src: b.srcMAC, EtherType: EtherTypeIPv4},
 		IP: IPv4{
@@ -50,6 +57,7 @@ func (b *Builder) UDPInto(p *Packet, ft FiveTuple, totalSize int, id uint16) *Pa
 		},
 		UDP:     udp,
 		Payload: payload,
+		buf:     buf,
 	}
 	*udp = UDP{
 		SrcPort: ft.SrcPort,
@@ -59,6 +67,10 @@ func (b *Builder) UDPInto(p *Packet, ft FiveTuple, totalSize int, id uint16) *Pa
 	p.IP.UpdateChecksum()
 	return p
 }
+
+// maxUDPPayload is the UDP payload of a 1500 B frame (Ethernet without
+// FCS), the size every generated packet's payload backing starts at.
+const maxUDPPayload = 1500 - HeaderUnitLen
 
 // SetPayloadSeed changes the payload pattern seed (default 0).
 func (b *Builder) SetPayloadSeed(seed uint64) { b.payloadSeed = seed }

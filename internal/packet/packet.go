@@ -39,21 +39,27 @@ type Packet struct {
 
 	// headroom is the scratch region stashed by StashHeadroom; see there.
 	headroom []byte
+	// buf is the packet's own payload backing, set by Builder.UDPInto and
+	// kept for the packet's life: a split reslices Payload past the parked
+	// region and a merge may move it into a fresh buffer, but the next
+	// UDPInto on a recycled packet refills buf from its start. Clone and
+	// CloneInto never share it.
+	buf []byte
 }
 
 // StashHeadroom records scratch bytes that sit immediately in front of
 // Payload in its backing array. The switch's Split deparser stashes the
 // hole left by the parked region so a later Merge can reassemble the
-// payload in place instead of allocating; TakeHeadroom validates the
-// placement before the stash is trusted.
+// payload in place instead of allocating; Headroom validates the
+// placement before the stash is trusted. StashHeadroom(nil) clears it.
 func (p *Packet) StashHeadroom(h []byte) { p.headroom = h }
 
-// TakeHeadroom consumes the stashed headroom, returning it only if it
-// still directly precedes the current Payload in the same backing array
-// (a payload swapped out by an NF invalidates it); otherwise nil.
-func (p *Packet) TakeHeadroom() []byte {
+// Headroom returns the stashed headroom if it still directly precedes the
+// current Payload in the same backing array (a payload swapped out by an
+// NF invalidates it), otherwise nil. The stash is kept, so it survives
+// transit hops between the split and the merge; the merge clears it.
+func (p *Packet) Headroom() []byte {
 	h := p.headroom
-	p.headroom = nil
 	if h == nil {
 		return nil
 	}
@@ -347,6 +353,7 @@ func (p *Packet) Clone() *Packet {
 	}
 	c.Payload = append([]byte(nil), p.Payload...)
 	c.headroom = nil // the copy's payload lives in a fresh backing array
+	c.buf = nil
 	return &c
 }
 
@@ -356,8 +363,9 @@ func (p *Packet) Clone() *Packet {
 //
 //pp:zeroalloc
 func (p *Packet) CloneInto(dst *Packet) *Packet {
-	udp, tcp, payload := dst.UDP, dst.TCP, dst.Payload
+	udp, tcp, payload, buf := dst.UDP, dst.TCP, dst.Payload, dst.buf
 	*dst = *p
+	dst.buf = buf
 	dst.UDP, dst.TCP = nil, nil
 	if p.UDP != nil {
 		if udp == nil {

@@ -286,6 +286,67 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
+// TestCloneNeverSharesPayloadBacking pins that a clone owns its payload
+// backing: refilling the clone (as a recycled generator packet is) must
+// never write into the source's bytes, nor the reverse.
+func TestCloneNeverSharesPayloadBacking(t *testing.T) {
+	b := NewBuilder(testSrcMAC, testDstMAC)
+	src := b.UDP(testFT, 800, 1)
+	want := append([]byte(nil), src.Payload...)
+
+	dst := b.UDP(testFT, 200, 2)
+	dstBuf := &dst.buf[0]
+	clones := map[string]*Packet{
+		"Clone":              src.Clone(),
+		"CloneInto(fresh)":   src.CloneInto(&Packet{}),
+		"CloneInto(builder)": src.CloneInto(dst),
+	}
+	if &dst.buf[0] != dstBuf {
+		t.Error("CloneInto replaced the destination's payload backing")
+	}
+	for name, c := range clones {
+		if c.buf != nil && &c.buf[0] == &src.buf[0] {
+			t.Errorf("%s shares the source's payload backing", name)
+		}
+		b.UDPInto(c, testFT, 1500, 3)
+		if !bytes.Equal(src.Payload, want) {
+			t.Fatalf("refilling the %s result overwrote the source payload", name)
+		}
+	}
+	b.UDPInto(src, testFT, 1500, 4)
+	for name, c := range clones {
+		if &c.Payload[0] == &src.Payload[0] {
+			t.Errorf("refilled source and %s result share payload bytes", name)
+		}
+	}
+}
+
+// TestUDPIntoKeepsPayloadBacking pins the generator's recycling contract:
+// a recycled packet refills its own payload backing from the start, even
+// after a split resliced Payload past the parked region and when the next
+// size is larger, so steady-state generation never allocates.
+func TestUDPIntoKeepsPayloadBacking(t *testing.T) {
+	b := NewBuilder(testSrcMAC, testDstMAC)
+	p := b.UDP(testFT, 64, 1)
+	start := &p.buf[0]
+	sizes := []int{1500, 90, 1463, 300}
+	i := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		p.Payload = p.Payload[len(p.Payload)/2:] // a split's reslice
+		b.UDPInto(p, testFT, sizes[i%len(sizes)], uint16(i))
+		i++
+	})
+	if allocs != 0 {
+		t.Errorf("UDPInto on a recycled packet allocates %.1f/op, want 0", allocs)
+	}
+	if &p.Payload[0] != start {
+		t.Error("UDPInto did not refill the packet's own payload backing")
+	}
+	if want := b.UDP(testFT, p.Len(), uint16(i-1)); !bytes.Equal(p.Payload, want.Payload) {
+		t.Error("refilled payload differs from a freshly built one")
+	}
+}
+
 func TestBuilderDeterministicPayload(t *testing.T) {
 	b := NewBuilder(testSrcMAC, testDstMAC)
 	p1 := b.UDP(testFT, 512, 9)

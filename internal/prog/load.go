@@ -142,7 +142,7 @@ func (in *Instance) PPPorts() []int {
 
 // Occupied counts occupied cells of the EXP/CLK register under role (cells
 // whose expiry half is non-zero) — the generic form of Program.Occupancy.
-// It reads snapshots and is not part of the dataplane.
+// It reads the cells in place and is not part of the dataplane.
 func (in *Instance) Occupied(role string) int {
 	reg := in.regs[role]
 	if reg == nil || reg.Width() < 8 {
@@ -150,7 +150,7 @@ func (in *Instance) Occupied(role string) int {
 	}
 	n := 0
 	for i := 0; i < reg.Cells(); i++ {
-		if exp, _ := rmt.ExpClk(reg.Snapshot(i)); exp != 0 {
+		if exp, _ := reg.ExpClkAt(i); exp != 0 {
 			n++
 		}
 	}

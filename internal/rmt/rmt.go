@@ -203,6 +203,11 @@ func (r *Register) Snapshot(i int) []byte {
 	return append([]byte(nil), r.cell(i)...)
 }
 
+// ExpClkAt reads the EXP/CLK halves of cell i (see ExpClk) in place,
+// without Snapshot's copy; like Snapshot it is for control-plane reads
+// such as occupancy scans, not for dataplane logic.
+func (r *Register) ExpClkAt(i int) (exp, clk uint32) { return ExpClk(r.cell(i)) }
+
 // Ctx is the action execution context handed to a MAT's action. It
 // enforces the one-stateful-access-per-MAT-per-packet restriction.
 type Ctx struct {

@@ -496,31 +496,35 @@ func RunLeafSpine(cfg FabricConfig) FabricResult {
 	}
 	flows := make([]*flowState, L)
 	partDrops := make([]uint64, P)
-	// dropFor builds a drop hook for flow r's packets charged to the
-	// partition hosting the dropping hop. Recycling into flow r's pool is
-	// only safe from the partition that owns r's generator (the source
-	// leaf's); elsewhere the packet is released to the GC — generators
-	// fully rewrite reused packets, so pool membership never shows up in
-	// results. Drops can strike mid-fabric where the owning flow is
-	// unknown; charging a neighbour pool is equally harmless.
-	dropFor := func(r, at int) func(Parcel, string) {
-		home := part[r]
-		return func(p Parcel, _ string) {
+	// Packet pools are per partition: the generators homed on a partition
+	// share its pool, and every packet retires into the pool of the
+	// partition it retires in, so each pool is only touched by its own
+	// partition's goroutine. A partition hosting no generator has no pool
+	// and releases its retired packets to the GC.
+	pools := make([]*trafficgen.Pool, P)
+	for i := 0; i < L; i++ {
+		if pools[part[i]] == nil {
+			pools[part[i]] = &trafficgen.Pool{}
+		}
+	}
+	retire := make([]func(*packet.Packet), P)
+	dropAt := make([]func(Parcel, string), P)
+	consumeAt := make([]func(Parcel), P)
+	for at := 0; at < P; at++ {
+		at := at
+		retire[at] = func(*packet.Packet) {}
+		if pools[at] != nil {
+			retire[at] = pools[at].Put
+		}
+		put := retire[at]
+		// Drops charge the partition hosting the dropping hop.
+		dropAt[at] = func(p Parcel, _ string) {
 			if p.InWindow {
 				partDrops[at]++
 			}
-			if at == home {
-				flows[r].gen.Recycle(p.Pkt)
-			}
+			put(p.Pkt)
 		}
-	}
-	consumeFor := func(r, at int) func(Parcel) {
-		home := part[r]
-		return func(p Parcel) {
-			if at == home {
-				flows[r].gen.Recycle(p.Pkt)
-			}
-		}
+		consumeAt[at] = func(p Parcel) { put(p.Pkt) }
 	}
 
 	for i := 0; i < L; i++ {
@@ -532,17 +536,18 @@ func RunLeafSpine(cfg FabricConfig) FabricResult {
 				SrcMAC: gen, DstMAC: nfDst,
 				DstIP: packet.IPv4Addr{10, 2, byte(i), 9}, DstPort: 80,
 				Seed: cfg.Seed + int64(i),
+				Pool: pools[part[i]],
 			}),
 			goodput:  stats.NewRateMeter(windowStart),
 			toNF:     stats.NewRateMeter(windowStart),
 			sentBits: stats.NewRateMeter(windowStart),
 		}
-		leaves[i].OnDrop = dropFor(i, part[i])
-		leaves[i].OnConsumed = consumeFor(i, part[i])
+		leaves[i].OnDrop = dropAt[part[i]]
+		leaves[i].OnConsumed = consumeAt[part[i]]
 	}
 	for s := 0; s < S; s++ {
-		spines[s].OnDrop = dropFor(s%L, part[L+s])
-		spines[s].OnConsumed = consumeFor(s%L, part[L+s])
+		spines[s].OnDrop = dropAt[part[L+s]]
+		spines[s].OnConsumed = consumeAt[part[L+s]]
 	}
 
 	// Failure bookkeeping (flow 0).
@@ -568,10 +573,10 @@ func RunLeafSpine(cfg FabricConfig) FabricResult {
 	for i := 0; i < L; i++ {
 		for s := 0; s < S; s++ {
 			up := fabricLink(fmt.Sprintf("leaf%d->spine%d", i, s),
-				spines[s].Ingress(rmt.PortID(i)), dropFor(i, part[i]), part[i], part[L+s])
+				spines[s].Ingress(rmt.PortID(i)), dropAt[part[i]], part[i], part[L+s])
 			leaves[i].SetOut(leafPortSpine+rmt.PortID(s), up)
 			down := fabricLink(fmt.Sprintf("spine%d->leaf%d", s, i),
-				leaves[i].Ingress(leafPortSpine+rmt.PortID(s)), dropFor(i, part[L+s]), part[L+s], part[i])
+				leaves[i].Ingress(leafPortSpine+rmt.PortID(s)), dropAt[part[L+s]], part[L+s], part[i])
 			spines[s].SetOut(rmt.PortID(i), down)
 			if cfg.FailLink && s == cfg.spineOf(0) && i == 1%L {
 				failLink = down // flow 0's forward last fabric hop
@@ -590,20 +595,20 @@ func RunLeafSpine(cfg FabricConfig) FabricResult {
 		ingEng, egrEng := leaves[i].Engine(), leaves[j].Engine()
 
 		genLink := f.NewLinkAt(fmt.Sprintf("gen%d->leaf%d", i, i),
-			2*cfg.LinkBps, cfg.PropNs, 4<<20, leaves[i].Ingress(leafPortGen), dropFor(i, part[i]), part[i], part[i])
+			2*cfg.LinkBps, cfg.PropNs, 4<<20, leaves[i].Ingress(leafPortGen), dropAt[part[i]], part[i], part[i])
 
-		fs.sink = f.AddSinkAt(fmt.Sprintf("sink%d", i), windowEnd, fs.gen.Recycle, part[i])
+		fs.sink = f.AddSinkAt(fmt.Sprintf("sink%d", i), windowEnd, retire[part[i]], part[i])
 		sinkLink := f.NewLinkAt(fmt.Sprintf("leaf%d->sink%d", i, i),
-			2*cfg.LinkBps, cfg.PropNs, 2*cfg.QueueBytes, fs.sink.Receive, dropFor(i, part[i]), part[i], part[i])
+			2*cfg.LinkBps, cfg.PropNs, 2*cfg.QueueBytes, fs.sink.Receive, dropAt[part[i]], part[i], part[i])
 		leaves[i].SetOut(leafPortSink, sinkLink)
 
 		// The NF at leaf j serves flow i: its delivery tap owns flow i's
 		// goodput meters.
 		srv := nf.NewServer(nf.ServerConfig{Chain: nf.NewChain(nf.MACSwap{})})
 		returnLink := f.NewLinkAt(fmt.Sprintf("nf%d->leaf%d", j, j),
-			cfg.LinkBps, cfg.PropNs, cfg.QueueBytes, leaves[j].Ingress(leafPortNF), dropFor(i, part[j]), part[j], part[j])
+			cfg.LinkBps, cfg.PropNs, cfg.QueueBytes, leaves[j].Ingress(leafPortNF), dropAt[part[j]], part[j], part[j])
 		srvSim := NewServerSim(egrEng, cfg.Server, srv, cfg.Seed+(int64(i)+1)<<40,
-			returnLink.Send, dropFor(i, part[j]), consumeFor(i, part[j]))
+			returnLink.Send, dropAt[part[j]], consumeAt[part[j]])
 		toNFLink := f.NewLinkAt(fmt.Sprintf("leaf%d->nf%d", j, j),
 			cfg.LinkBps, cfg.PropNs, cfg.QueueBytes,
 			func(p Parcel) {
@@ -616,7 +621,7 @@ func RunLeafSpine(cfg FabricConfig) FabricResult {
 					phaseDelivered[phase(now)]++
 				}
 				srvSim.Receive(p)
-			}, dropFor(i, part[j]), part[j], part[j])
+			}, dropAt[part[j]], part[j], part[j])
 		leaves[j].SetOut(leafPortNF, toNFLink)
 
 		src := f.AddSourceAt(fmt.Sprintf("gen%d", i), fs.gen, genLink, cfg.SendBps, part[i])

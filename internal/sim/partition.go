@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -215,6 +217,21 @@ func (f *Fabric) runParallel(until int64) {
 	}
 }
 
+// compareCross orders cross-partition messages by (at, sentAt, lane,
+// seq), a total order: no two messages share a lane and a seq.
+func compareCross(a, b crossMsg) int {
+	if c := cmp.Compare(a.at, b.at); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.sentAt, b.sentAt); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.lane, b.lane); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.seq, b.seq)
+}
+
 // flushMail drains every mailbox into its destination engine. Runs
 // single-threaded between windows. Messages destined to one partition are
 // merged across all senders and enqueued in (at, sentAt, lane, seq)
@@ -244,19 +261,7 @@ func (f *Fabric) flushMail() {
 				f.obs.mailboxPeak = len(buf)
 			}
 		}
-		sort.Slice(buf, func(i, j int) bool {
-			a, b := &buf[i], &buf[j]
-			if a.at != b.at {
-				return a.at < b.at
-			}
-			if a.sentAt != b.sentAt {
-				return a.sentAt < b.sentAt
-			}
-			if a.lane != b.lane {
-				return a.lane < b.lane
-			}
-			return a.seq < b.seq
-		})
+		slices.SortFunc(buf, compareCross)
 		e := f.parts[dst]
 		for i := range buf {
 			m := &buf[i]

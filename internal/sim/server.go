@@ -142,6 +142,10 @@ type ServerSim struct {
 	stages   []station
 	pcieBusy int64
 	rng      *rand.Rand
+	// costFree holds stage-cost buffers of parcels that left the server
+	// model; a parcel carries its buffer in res.Costs from rxDone until
+	// finish or a stage-queue drop hands it back.
+	costFree [][]nf.StageCost
 
 	// RxDrops counts NIC ring overflows; StageDrops inter-NF ring
 	// overflows; PCIeBytes total DMA bytes (both directions).
@@ -285,7 +289,12 @@ func (s *ServerSim) rxDone(p Parcel) {
 	s.rxOccupancy--
 	s.coreQueue[p.core]--
 	s.coreStats[p.core].Served++
-	p.res = s.srv.Handle(p.Pkt)
+	var costs []nf.StageCost
+	if n := len(s.costFree); n > 0 {
+		costs = s.costFree[n-1]
+		s.costFree = s.costFree[:n-1]
+	}
+	p.res = s.srv.HandleInto(p.Pkt, costs)
 	p.stage = 0
 	s.enterStage(p)
 }
@@ -304,6 +313,7 @@ func (s *ServerSim) enterStage(p Parcel) {
 	if st.queued >= s.model.StageQueue {
 		s.StageDrops.Inc()
 		s.coreStats[p.core].StageDrops++
+		s.releaseCosts(&p)
 		if s.onDrop != nil {
 			s.onDrop(p, "stage queue overflow")
 		}
@@ -330,6 +340,7 @@ func (s *ServerSim) stageDone(p Parcel) {
 // finish transmits the result (forwarded packet or explicit-drop
 // notification) or records a silent drop.
 func (s *ServerSim) finish(p Parcel) {
+	s.releaseCosts(&p)
 	if p.res.Out == nil {
 		if s.onConsumed != nil {
 			s.onConsumed(p)
@@ -340,4 +351,13 @@ func (s *ServerSim) finish(p Parcel) {
 	p.res = nf.Result{}
 	txDone := s.pcieTransfer(p.Pkt.Len())
 	s.eng.ScheduleParcelAt(txDone, s.out, p)
+}
+
+// releaseCosts takes p's stage-cost buffer back for the next rxDone; the
+// parcel is leaving the server model and no longer reads it.
+func (s *ServerSim) releaseCosts(p *Parcel) {
+	if c := p.res.Costs; cap(c) > 0 {
+		s.costFree = append(s.costFree, c[:0])
+	}
+	p.res.Costs = nil
 }

@@ -24,7 +24,7 @@ type Replay struct {
 	pkts []*packet.Packet
 	idx  int
 	n    uint64
-	pool []*packet.Packet
+	pool Pool
 }
 
 // ErrEmptyCapture reports a capture with no usable packets.
@@ -60,22 +60,11 @@ func (r *Replay) Next() *packet.Packet {
 	src := r.pkts[r.idx]
 	r.idx = (r.idx + 1) % len(r.pkts)
 	r.n++
-	if n := len(r.pool); n > 0 {
-		p := r.pool[n-1]
-		r.pool = r.pool[:n-1]
-		return src.CloneInto(p)
-	}
-	return src.Clone()
+	return src.CloneInto(r.pool.get())
 }
 
-// Recycle hands a retired packet back for reuse by Next. The caller must
-// guarantee no other reference to the packet (or its payload) remains.
-func (r *Replay) Recycle(p *packet.Packet) {
-	if p == nil {
-		return
-	}
-	r.pool = append(r.pool, p)
-}
+// Recycle hands a retired packet back for reuse by Next (see Pool.Put).
+func (r *Replay) Recycle(p *packet.Packet) { r.pool.Put(p) }
 
 // WriteWorkload generates n packets from a Generator configuration and
 // writes them as a pcap stream — how this repository materializes the

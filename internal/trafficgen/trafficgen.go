@@ -117,6 +117,38 @@ type Config struct {
 	DstPort uint16
 	// Seed makes runs reproducible.
 	Seed int64
+	// Pool is the free list Next reuses retired packets from and Recycle
+	// returns them to. Generators driven from one goroutine may share a
+	// pool; nil gives the generator a private one.
+	Pool *Pool
+}
+
+// Pool is a free list of retired packets. Generated packets are fully
+// rewritten on reuse, so which generator drew a packet before never shows
+// in its next life. A Pool is not safe for concurrent use.
+type Pool struct {
+	free []*packet.Packet
+}
+
+// Put hands a retired packet back for reuse. The caller must guarantee no
+// other reference to the packet (or its payload) remains — the simulator
+// recycles at its terminal points (sink delivery, drops).
+func (pl *Pool) Put(p *packet.Packet) {
+	if p != nil {
+		pl.free = append(pl.free, p)
+	}
+}
+
+// get returns a retired packet, or a new one when the pool is empty.
+func (pl *Pool) get() *packet.Packet {
+	n := len(pl.free)
+	if n == 0 {
+		return &packet.Packet{}
+	}
+	p := pl.free[n-1]
+	pl.free[n-1] = nil
+	pl.free = pl.free[:n-1]
+	return p
 }
 
 // Generator produces a deterministic packet stream.
@@ -127,7 +159,7 @@ type Generator struct {
 	builder *packet.Builder
 	seq     uint64
 	sizes   *stats.CDF
-	pool    []*packet.Packet
+	pool    *Pool
 }
 
 // New builds a generator.
@@ -140,6 +172,10 @@ func New(cfg Config) *Generator {
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		builder: packet.NewBuilder(cfg.SrcMAC, cfg.DstMAC),
 		sizes:   stats.NewCDF(),
+		pool:    cfg.Pool,
+	}
+	if g.pool == nil {
+		g.pool = &Pool{}
 	}
 	g.flows = make([]packet.FiveTuple, cfg.Flows)
 	for i := range g.flows {
@@ -161,25 +197,12 @@ func (g *Generator) Next() *packet.Packet {
 	g.sizes.Observe(float64(size))
 	ft := g.flows[g.rng.Intn(len(g.flows))]
 	g.seq++
-	var p *packet.Packet
-	if n := len(g.pool); n > 0 {
-		p = g.pool[n-1]
-		g.pool = g.pool[:n-1]
-	} else {
-		p = &packet.Packet{}
-	}
-	return g.builder.UDPInto(p, ft, size, uint16(g.seq))
+	return g.builder.UDPInto(g.pool.get(), ft, size, uint16(g.seq))
 }
 
-// Recycle hands a retired packet back for reuse by Next. The caller must
-// guarantee no other reference to the packet (or its payload) remains —
-// the simulator recycles at its terminal points (sink delivery, drops).
-func (g *Generator) Recycle(p *packet.Packet) {
-	if p == nil {
-		return
-	}
-	g.pool = append(g.pool, p)
-}
+// Recycle hands a retired packet back to the generator's pool for reuse
+// by Next (see Pool.Put).
+func (g *Generator) Recycle(p *packet.Packet) { g.pool.Put(p) }
 
 // Generated returns how many packets have been produced.
 func (g *Generator) Generated() uint64 { return g.seq }
